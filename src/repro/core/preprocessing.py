@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.nn.graph import DAG
 from repro.nn.module import Module
 
 __all__ = ["LayerGroups", "preprocess_model", "group_layers", "find_root"]
@@ -66,7 +65,7 @@ def _kernel_signature(layer) -> tuple:
     return (kind, getattr(layer, "kernel_size", 1))
 
 
-def find_root(graph: nx.DiGraph, layer: str, layers: dict,
+def find_root(graph: DAG, layer: str, layers: dict,
               roots: dict) -> str:
     """DFS upward from ``layer`` for the nearest compatible ancestor root.
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.pointcloud.boxes import (Box3D, boxes_to_array, iou_matrix_bev,
-                                    CLASS_NAMES)
+from repro.pointcloud.boxes import (Box3D, array_to_boxes, boxes_to_array,
+                                    iou_matrix_bev, CLASS_NAMES)
 
 __all__ = ["DetectionResult", "EvalConfig", "average_precision",
            "evaluate_map", "match_detections", "evaluate_by_difficulty",
@@ -34,12 +34,62 @@ __all__ = ["DetectionResult", "EvalConfig", "average_precision",
 _DEFAULT_IOU = {"Car": 0.5, "Pedestrian": 0.25, "Cyclist": 0.25}
 
 
-@dataclass
 class DetectionResult:
-    """Predictions for one frame."""
+    """Predictions for one frame.
 
-    boxes: list[Box3D]
-    frame_id: int = 0
+    Built from a ``Box3D`` list, or compactly from arrays with
+    :meth:`from_arrays`.  An array-backed result makes its box list on
+    the first access of :attr:`boxes` and keeps it, so edits through
+    the list persist; ``len(result)`` never makes it.
+    """
+
+    __slots__ = ("frame_id", "_boxes", "_arrays")
+
+    def __init__(self, boxes: list[Box3D], frame_id: int = 0):
+        self._boxes = boxes
+        self._arrays = None
+        self.frame_id = frame_id
+
+    @classmethod
+    def from_arrays(cls, boxes: np.ndarray, scores: np.ndarray,
+                    class_ids: np.ndarray, class_names,
+                    frame_id: int = 0) -> "DetectionResult":
+        """Detections as float32 (N, 7) ``[x y z dx dy dz yaw]`` boxes,
+        (N,) scores and (N,) indices into ``class_names``."""
+        result = cls([], frame_id)
+        result._boxes = None
+        result._arrays = (np.asarray(boxes, dtype=np.float32).reshape(-1, 7),
+                          np.asarray(scores), np.asarray(class_ids),
+                          tuple(class_names))
+        return result
+
+    @property
+    def boxes(self) -> list[Box3D]:
+        if self._boxes is None:
+            array, scores, class_ids, names = self._arrays
+            self._boxes = array_to_boxes(
+                array, labels=[names[i] for i in class_ids], scores=scores)
+            self._arrays = None
+        return self._boxes
+
+    @boxes.setter
+    def boxes(self, boxes: list[Box3D]) -> None:
+        self._boxes = boxes
+        self._arrays = None
+
+    def __len__(self) -> int:
+        if self._boxes is None:
+            return len(self._arrays[0])
+        return len(self._boxes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DetectionResult):
+            return NotImplemented
+        return (self.frame_id, self.boxes) == (other.frame_id, other.boxes)
+
+    def __repr__(self) -> str:
+        return (f"DetectionResult(boxes={self.boxes!r}, "
+                f"frame_id={self.frame_id!r})")
 
 
 @dataclass

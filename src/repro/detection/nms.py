@@ -4,29 +4,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pointcloud.boxes import iou_bev
+from repro.pointcloud.boxes import iou_bev, iou_bev_upper
 
-__all__ = ["nms_bev", "nms_2d"]
+__all__ = ["nms_bev", "nms_2d", "NMS_FALLBACK_BAND"]
+
+#: Kernel IoUs this close to the threshold are re-decided by the scalar
+#: :func:`iou_bev`.  The batched kernel agrees with it to ~1e-13, so
+#: every suppression decision is the scalar one by construction.
+NMS_FALLBACK_BAND = 1e-9
 
 
 def nms_bev(boxes: np.ndarray, scores: np.ndarray,
             iou_threshold: float = 0.3,
             max_keep: int = 100) -> np.ndarray:
-    """Greedy rotated-BEV NMS; returns indices of kept boxes."""
+    """Greedy rotated-BEV NMS; returns indices of kept boxes.
+
+    Each kept box suppresses every lower-scored box whose IoU with it
+    (kept box first) exceeds ``iou_threshold``.  The IoUs come from one
+    batched kernel over the score-ordered pairs; pairs the kernel
+    cannot vouch for, or whose IoU lies within
+    :data:`NMS_FALLBACK_BAND` of the threshold, are recomputed with
+    :func:`iou_bev` when their row's box is kept.
+    """
     order = np.argsort(-np.asarray(scores))
+    ranked = np.asarray(boxes)[order]
+    iou = iou_bev_upper(ranked)
+    suppresses = iou > iou_threshold
+    unsure = np.triu(np.isnan(iou)
+                     | (np.abs(iou - iou_threshold) <= NMS_FALLBACK_BAND),
+                     k=1)
     keep: list[int] = []
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    for idx in order:
-        if suppressed[idx]:
+    suppressed = np.zeros(len(order), dtype=bool)
+    for i, idx in enumerate(order):
+        if suppressed[i]:
             continue
         keep.append(int(idx))
         if len(keep) >= max_keep:
             break
-        for other in order:
-            if suppressed[other] or other == idx:
-                continue
-            if iou_bev(boxes[idx], boxes[other]) > iou_threshold:
-                suppressed[other] = True
+        for j in np.flatnonzero(unsure[i] & ~suppressed):
+            suppresses[i, j] = iou_bev(ranked[i], ranked[j]) > iou_threshold
+        suppressed |= suppresses[i]
     return np.array(keep, dtype=np.int64)
 
 

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.hardware.profile import LayerProfile
+from repro.nn.graph import DAG
 
 __all__ = ["IRNode", "CompressionInfo", "ModelIR"]
 
@@ -184,9 +183,9 @@ class ModelIR:
         return [(pred, node.name) for node in self.nodes
                 for pred in node.predecessors]
 
-    def graph(self) -> nx.DiGraph:
-        """The IR as a networkx DiGraph (for visualization/analysis)."""
-        graph = nx.DiGraph()
+    def graph(self) -> DAG:
+        """The IR as a :class:`repro.nn.graph.DAG` (for analysis)."""
+        graph = DAG()
         graph.add_nodes_from(self.layer_names)
         graph.add_edges_from(self.edges)
         return graph

@@ -15,7 +15,6 @@ from repro.detection import (AnchorConfig, AnchorGrid, DetectionResult,
                              assign_targets, decode_boxes, nms_bev)
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.pointcloud.boxes import array_to_boxes
 from repro.pointcloud.scenes import Scene
 from repro.pointcloud.voxelize import PillarConfig, PillarEncoder
 
@@ -157,8 +156,11 @@ class PointPillars(Detector3D):
         scores = 1.0 / (1.0 + np.exp(-cls_flat.data))
         deltas = reg_flat.data
 
-        boxes_out = []
-        for cls in self.anchor_config.class_names:
+        names = self.anchor_config.class_names
+        kept_boxes = [np.zeros((0, 7), dtype=np.float32)]
+        kept_scores = [np.zeros(0, dtype=scores.dtype)]
+        kept_ids = [np.zeros(0, dtype=np.int64)]
+        for class_id, cls in enumerate(names):
             cls_mask = (self.anchor_grid.labels == cls) \
                 & (scores >= self.score_threshold)
             idx = np.where(cls_mask)[0]
@@ -169,8 +171,9 @@ class PointPillars(Detector3D):
             decoded = decode_boxes(deltas[idx], self.anchor_grid.boxes[idx])
             keep = nms_bev(decoded, scores[idx], iou_threshold=self.nms_iou,
                            max_keep=20)
-            kept = array_to_boxes(decoded[keep],
-                                  labels=[cls] * len(keep),
-                                  scores=scores[idx][keep])
-            boxes_out.extend(kept)
-        return DetectionResult(boxes=boxes_out, frame_id=frame_id)
+            kept_boxes.append(decoded[keep])
+            kept_scores.append(scores[idx][keep])
+            kept_ids.append(np.full(len(keep), class_id, dtype=np.int64))
+        return DetectionResult.from_arrays(
+            np.concatenate(kept_boxes), np.concatenate(kept_scores),
+            np.concatenate(kept_ids), names, frame_id=frame_id)

@@ -4,22 +4,70 @@ The paper computes the model's computational graph "through
 backpropagation" and runs DFS over it to find *root→leaf* layer groups.
 We do the same: run a traced forward pass, walk the recorded autograd
 graph from the outputs back to the inputs, and lift it to a layer-level
-``networkx.DiGraph`` whose nodes are the names of parameterized layers
+:class:`DAG` whose nodes are the names of parameterized layers
 (convolutions and linears) and whose edges follow activation flow.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .layers import Conv2d, ConvTranspose2d, Linear
 from .module import Module
 from .tensor import Tensor
 
-__all__ = ["compute_graph", "layer_map", "topological_layers"]
+__all__ = ["DAG", "compute_graph", "layer_map", "topological_layers"]
 
 #: Module types that carry compressible kernels.
 KERNEL_LAYER_TYPES = (Conv2d, ConvTranspose2d, Linear)
+
+
+class DAG:
+    """Insertion-ordered directed graph over hashable nodes.
+
+    Nodes, successors and predecessors iterate in the order they were
+    first added, so everything derived from the graph is independent of
+    the process's hash seed.
+    """
+
+    def __init__(self):
+        self._succ: dict = {}
+        self._pred: dict = {}
+
+    def add_node(self, node) -> None:
+        if node not in self._succ:
+            self._succ[node] = {}
+            self._pred[node] = {}
+
+    def add_nodes_from(self, nodes) -> None:
+        for node in nodes:
+            self.add_node(node)
+
+    def add_edge(self, source, target) -> None:
+        self.add_node(source)
+        self.add_node(target)
+        self._succ[source][target] = None
+        self._pred[target][source] = None
+
+    def add_edges_from(self, edges) -> None:
+        for source, target in edges:
+            self.add_edge(source, target)
+
+    @property
+    def nodes(self) -> list:
+        return list(self._succ)
+
+    @property
+    def edges(self) -> list[tuple]:
+        return [(source, target) for source, targets in self._succ.items()
+                for target in targets]
+
+    def predecessors(self, node):
+        return iter(self._pred[node])
+
+    def successors(self, node):
+        return iter(self._succ[node])
+
+    def number_of_edges(self) -> int:
+        return sum(len(targets) for targets in self._succ.values())
 
 
 def layer_map(model: Module) -> dict[str, Module]:
@@ -48,14 +96,16 @@ def _collect_outputs(result) -> list[Tensor]:
     return []
 
 
-def compute_graph(model: Module, *example_inputs) -> nx.DiGraph:
+def compute_graph(model: Module, *example_inputs) -> DAG:
     """Trace a forward pass and return the layer-level dependency graph.
 
     Nodes are the names of kernel-bearing layers; an edge ``A -> B`` means
     B consumes (possibly through parameter-free ops such as BN, ReLU,
-    pooling, reshape or addition) an activation produced by A.
+    pooling, reshape or addition) an activation produced by A.  A
+    layer's incoming edges are added in :func:`layer_map` order.
     """
     layers = layer_map(model)
+    rank = {name: index for index, name in enumerate(layers)}
     param_to_layer: dict[int, str] = {}
     for name, module in layers.items():
         param_to_layer[id(module.weight)] = name
@@ -69,7 +119,7 @@ def compute_graph(model: Module, *example_inputs) -> nx.DiGraph:
     if not outputs:
         raise ValueError("model forward produced no tensors to trace")
 
-    graph = nx.DiGraph()
+    graph = DAG()
     graph.add_nodes_from(layers)
 
     # producing_layer(tensor) = name of the layer whose op created this
@@ -126,7 +176,8 @@ def compute_graph(model: Module, *example_inputs) -> nx.DiGraph:
             for activation in node._parents:
                 if id(activation) in param_to_layer:
                     continue
-                for source in upstream(activation):
+                for source in sorted(upstream(activation),
+                                     key=rank.__getitem__):
                     if source != name:
                         graph.add_edge(source, name)
         for parent in node._parents:
@@ -134,6 +185,26 @@ def compute_graph(model: Module, *example_inputs) -> nx.DiGraph:
     return graph
 
 
-def topological_layers(graph: nx.DiGraph) -> list[str]:
-    """Layer names in dataflow order (inputs first)."""
-    return list(nx.topological_sort(graph))
+def topological_layers(graph: DAG) -> list[str]:
+    """Layer names in dataflow order (inputs first).
+
+    Kahn's algorithm by generations: every source in node order, then
+    each node whose last incoming edge the previous generation removed,
+    in the order that happened.
+    """
+    indegree = {node: len(list(graph.predecessors(node)))
+                for node in graph.nodes}
+    generation = [node for node, degree in indegree.items() if degree == 0]
+    order: list[str] = []
+    while generation:
+        order.extend(generation)
+        following = []
+        for node in generation:
+            for child in graph.successors(node):
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    following.append(child)
+        generation = following
+    if len(order) != len(indegree):
+        raise ValueError("layer graph has a cycle")
+    return order

@@ -7,8 +7,9 @@ encoders that feed the detectors.
 """
 
 from .boxes import (CLASS_IDS, CLASS_NAMES, Box3D, array_to_boxes,
-                    bev_corners, bev_intersection_area, boxes_to_array,
-                    clip_polygon, iou_3d, iou_bev, iou_matrix_3d,
+                    bev_corners, bev_corners_batch, bev_intersection_area,
+                    boxes_to_array, clip_polygon, iou_3d, iou_bev,
+                    iou_bev_pairs, iou_bev_upper, iou_matrix_3d,
                     iou_matrix_bev, points_in_box, polygon_area)
 from .kitti import export_kitti, load_kitti, read_labels, write_labels
 from .lidar import LidarConfig, LidarScanner
@@ -23,6 +24,7 @@ __all__ = [
     "Box3D", "boxes_to_array", "array_to_boxes", "bev_corners",
     "polygon_area", "clip_polygon", "bev_intersection_area", "iou_bev",
     "iou_3d", "iou_matrix_bev", "iou_matrix_3d", "points_in_box",
+    "bev_corners_batch", "iou_bev_pairs", "iou_bev_upper",
     "CLASS_NAMES", "CLASS_IDS",
     "LidarConfig", "LidarScanner",
     "Scene", "SceneConfig", "SceneGenerator", "make_dataset",

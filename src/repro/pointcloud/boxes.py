@@ -18,6 +18,7 @@ __all__ = [
     "Box3D", "boxes_to_array", "array_to_boxes", "bev_corners",
     "polygon_area", "clip_polygon", "bev_intersection_area",
     "iou_bev", "iou_3d", "iou_matrix_bev", "iou_matrix_3d",
+    "bev_corners_batch", "iou_bev_pairs", "iou_bev_upper",
     "points_in_box", "CLASS_NAMES", "CLASS_IDS",
 ]
 
@@ -191,6 +192,161 @@ def iou_3d(box_a: np.ndarray, box_b: np.ndarray) -> float:
     vol_b = float(box_b[3] * box_b[4] * box_b[5])
     union = vol_a + vol_b - inter
     return inter / union if union > 0 else 0.0
+
+
+# ----------------------------------------------------------------------
+# Batched BEV IoU (the NMS kernel)
+# ----------------------------------------------------------------------
+#: Vertex capacity of the batched clipper: a convex quadrilateral
+#: clipped by four half-planes keeps at most eight vertices.
+_CLIP_CAPACITY = 8
+_TEMPLATE_X = np.array([1.0, 1.0, -1.0, -1.0])
+_TEMPLATE_Y = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def bev_corners_batch(boxes: np.ndarray) -> np.ndarray:
+    """(N, 4, 2) counter-clockwise BEV footprints of (N, 7) boxes.
+
+    The arithmetic of :func:`bev_corners` followed by ``_ccw``, one box
+    per row: ``cos``/``sin`` run in the input's dtype and are then
+    widened to float64, exactly as the scalar path does.
+    """
+    boxes = np.asarray(boxes)
+    cos = np.cos(boxes[:, 6]).astype(np.float64)[:, None]
+    sin = np.sin(boxes[:, 6]).astype(np.float64)[:, None]
+    half_x = (boxes[:, 3] / 2).astype(np.float64)[:, None] * _TEMPLATE_X
+    half_y = (boxes[:, 4] / 2).astype(np.float64)[:, None] * _TEMPLATE_Y
+    corners = np.stack([
+        half_x * cos + half_y * -sin + boxes[:, 0:1].astype(np.float64),
+        half_x * sin + half_y * cos + boxes[:, 1:2].astype(np.float64),
+    ], axis=-1)
+    x, y = corners[..., 0], corners[..., 1]
+    twice_area = (np.sum(x * np.roll(y, -1, axis=1), axis=1)
+                  - np.sum(y * np.roll(x, -1, axis=1), axis=1))
+    clockwise = twice_area < 0
+    corners[clockwise] = corners[clockwise, ::-1]
+    return corners
+
+
+def _clip_batch(subject: np.ndarray, clip: np.ndarray) -> tuple:
+    """Sutherland–Hodgman over P polygon pairs at once.
+
+    ``subject`` and ``clip`` are (P, 4, 2) CCW quadrilaterals.  Every
+    pair's polygon lives in fixed (P, 8) x/y buffers with a vertex
+    count; each clip edge emits, per input vertex, the edge crossing
+    and/or the vertex itself exactly as :func:`clip_polygon` does.
+    Returns ``(x, y, count, overflow)``; ``overflow`` flags pairs whose
+    polygon outgrew the buffer (only possible through tolerance noise on
+    degenerate input), whose area is then not trustworthy.
+    """
+    pairs = len(subject)
+    rows = np.arange(pairs)[:, None]
+    slots = np.arange(_CLIP_CAPACITY)
+    dump = 2 * _CLIP_CAPACITY
+    x = np.zeros((pairs, _CLIP_CAPACITY))
+    y = np.zeros((pairs, _CLIP_CAPACITY))
+    x[:, :4], y[:, :4] = subject[..., 0], subject[..., 1]
+    count = np.full(pairs, 4)
+    overflow = np.zeros(pairs, dtype=bool)
+    for i in range(4):
+        ax, ay = clip[:, i, 0:1], clip[:, i, 1:2]
+        ex = clip[:, (i + 1) % 4, 0:1] - ax
+        ey = clip[:, (i + 1) % 4, 1:2] - ay
+        valid = slots < count[:, None]
+        prev_slot = np.where(slots == 0, count[:, None] - 1, slots - 1)
+        px, py = x[rows, prev_slot], y[rows, prev_slot]
+        cur_in = ex * (y - ay) - ey * (x - ax) >= -1e-12
+        crossing = valid & (cur_in != cur_in[rows, prev_slot])
+        kept = valid & cur_in
+        # _segment_intersection(prev, cur, a, b), elementwise.
+        dx, dy = x - px, y - py
+        denom = dx * ey - dy * ex
+        parallel = np.abs(denom) < 1e-12
+        t = ((ax - px) * ey - (ay - py) * ex) \
+            / np.where(parallel, 1.0, denom)
+        emitted = crossing.astype(np.int64) + kept
+        start = np.cumsum(emitted, axis=1) - emitted
+        at_crossing = np.where(crossing, start, dump)
+        at_kept = np.where(kept, start + crossing, dump)
+        next_x = np.zeros((pairs, dump + 1))
+        next_y = np.zeros((pairs, dump + 1))
+        next_x[rows, at_crossing] = np.where(parallel, x, px + t * dx)
+        next_y[rows, at_crossing] = np.where(parallel, y, py + t * dy)
+        next_x[rows, at_kept] = x
+        next_y[rows, at_kept] = y
+        count = emitted.sum(axis=1)
+        overflow |= count > _CLIP_CAPACITY
+        count = np.minimum(count, _CLIP_CAPACITY)
+        x, y = next_x[:, :_CLIP_CAPACITY], next_y[:, :_CLIP_CAPACITY]
+    return x, y, count, overflow
+
+
+def _polygon_area_batch(x: np.ndarray, y: np.ndarray,
+                        count: np.ndarray) -> np.ndarray:
+    """Shoelace areas of buffered polygons (0 below three vertices)."""
+    rows = np.arange(len(x))[:, None]
+    slots = np.arange(x.shape[1])
+    valid = slots < count[:, None]
+    following = np.where(slots + 1 < count[:, None], slots + 1, 0)
+    x_next, y_next = x[rows, following], y[rows, following]
+    area = 0.5 * (np.sum(np.where(valid, x * y_next, 0.0), axis=1)
+                  - np.sum(np.where(valid, y * x_next, 0.0), axis=1))
+    return np.where(count >= 3, area, 0.0)
+
+
+def iou_bev_pairs(boxes: np.ndarray, first: np.ndarray,
+                  second: np.ndarray) -> np.ndarray:
+    """Rotated BEV IoU of ``boxes[first[k]]`` against ``boxes[second[k]]``.
+
+    Batched form of :func:`iou_bev` (first box as the clipped subject,
+    second as the clip polygon), agreeing with it to about 1e-13.  NaN
+    marks the pairs this kernel does not vouch for, which callers must
+    send to :func:`iou_bev`: a clip that overflowed the vertex buffer,
+    or a union below half the larger area — impossible for real
+    footprints (the intersection never exceeds the smaller area), so
+    it only happens for a zero-size footprint, where the scalar ratio
+    is ill-conditioned.
+    """
+    boxes = np.asarray(boxes)
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    if len(first) == 0:
+        return np.zeros(0)
+    corners = bev_corners_batch(boxes)
+    area = (boxes[:, 3] * boxes[:, 4]).astype(np.float64)
+    x, y, count, overflow = _clip_batch(corners[first], corners[second])
+    inter = np.abs(_polygon_area_batch(x, y, count))
+    union = area[first] + area[second] - inter
+    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    unsure = overflow | (union < 0.5 * np.maximum(area[first], area[second]))
+    return np.where(unsure, np.nan, iou)
+
+
+def iou_bev_upper(boxes: np.ndarray) -> np.ndarray:
+    """(N, N) rotated BEV IoUs of ``boxes[i]`` against ``boxes[j]`` for
+    ``i < j``; zero on and below the diagonal.
+
+    The NMS kernel: ``boxes`` come in score order, so row ``i`` holds
+    what box ``i`` would suppress.  Pairs whose circumscribed circles
+    are disjoint are skipped (IoU 0) unless the clip box has zero area
+    (its zero-length edges bound nothing, so the scalar clip does not
+    come out empty).  NaN entries come from :func:`iou_bev_pairs`.
+    """
+    boxes = np.asarray(boxes)
+    n = len(boxes)
+    matrix = np.zeros((n, n))
+    if n < 2:
+        return matrix
+    first, second = np.triu_indices(n, k=1)
+    wide = boxes[:, :7].astype(np.float64)
+    radius = 0.5 * np.hypot(wide[:, 3], wide[:, 4])
+    dist = np.hypot(wide[first, 0] - wide[second, 0],
+                    wide[first, 1] - wide[second, 1])
+    degenerate = (boxes[:, 3] * boxes[:, 4]) == 0
+    near = (dist <= radius[first] + radius[second]) | degenerate[second]
+    first, second = first[near], second[near]
+    matrix[first, second] = iou_bev_pairs(boxes, first, second)
+    return matrix
 
 
 def _pairwise(boxes_a: np.ndarray, boxes_b: np.ndarray, fn) -> np.ndarray:

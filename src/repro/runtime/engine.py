@@ -48,7 +48,7 @@ __all__ = ["FrameRecord", "StreamReport", "DegradationPolicy",
 FRAME_STATUSES = ("ok", "degraded", "dropped", "failed")
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameRecord:
     """Accounting for one processed frame."""
 
@@ -884,7 +884,7 @@ class InferenceEngine:
         report = session.report
         report.predictions.append(result)
         report.frames.append(FrameRecord(
-            frame_id=frame_id, num_detections=len(result.boxes),
+            frame_id=frame_id, num_detections=len(result),
             device_latency_s=0.0, device_energy_j=0.0,
             deadline_met=True, status=status,
             fallback=session.active > 0,
@@ -944,7 +944,7 @@ class InferenceEngine:
         report.predictions.append(result)
         report.frames.append(FrameRecord(
             frame_id=frame_id,
-            num_detections=len(result.boxes),
+            num_detections=len(result),
             device_latency_s=latency,
             device_energy_j=energy,
             deadline_met=deadline_met,

@@ -1,11 +1,11 @@
 """Tests for computational-graph extraction (UPAQ Algorithm 1 substrate)."""
 
 import numpy as np
-import networkx as nx
 import pytest
 
 from repro import nn
 from repro.nn import Tensor, compute_graph, layer_map, topological_layers
+from repro.nn.graph import DAG
 
 
 @pytest.fixture
@@ -99,7 +99,11 @@ class TestComputeGraph:
         model = TwoBranch(rng)
         x = Tensor(rng.standard_normal((1, 1, 6, 6)).astype(np.float32))
         graph = compute_graph(model, x)
-        assert nx.is_directed_acyclic_graph(graph)
+        order = topological_layers(graph)
+        assert sorted(order) == sorted(graph.nodes)
+        position = {name: index for index, name in enumerate(order)}
+        assert all(position[source] < position[target]
+                   for source, target in graph.edges)
 
     def test_topological_order(self, rng):
         model = TwoBranch(rng)
@@ -134,3 +138,24 @@ class TestComputeGraph:
         graph = compute_graph(model, x)
         assert ("backbone", "head_cls") in graph.edges
         assert ("backbone", "head_reg") in graph.edges
+
+
+class TestDAG:
+    def test_generation_order_follows_insertion(self):
+        graph = DAG()
+        graph.add_nodes_from(["c", "a", "b", "d"])
+        graph.add_edges_from([("a", "d"), ("c", "b"), ("b", "d"),
+                              ("a", "b")])
+        assert graph.nodes == ["c", "a", "b", "d"]
+        assert list(graph.predecessors("b")) == ["c", "a"]
+        assert list(graph.successors("a")) == ["d", "b"]
+        assert graph.number_of_edges() == 4
+        # Sources first in node order, then each generation in the
+        # order its nodes' last incoming edge was removed.
+        assert topological_layers(graph) == ["c", "a", "b", "d"]
+
+    def test_cycle_raises(self):
+        graph = DAG()
+        graph.add_edges_from([("a", "b"), ("b", "a")])
+        with pytest.raises(ValueError, match="cycle"):
+            topological_layers(graph)
