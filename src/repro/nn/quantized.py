@@ -49,6 +49,15 @@ Batching and compile-once packing (see ``docs/PERFORMANCE.md``):
   produces), both paths share a float64 BLAS gemm whose result is the
   exact integer accumulation; otherwise each path falls back to an
   int64/float64 einsum.
+* When the same bound is below 2²⁴, ``forward`` narrows further: it
+  quantizes straight into float32 codes, gathers float32 columns and
+  runs a float32 gemm.  Every product and partial sum is then an
+  integer of magnitude below 2²⁴, which float32 represents exactly, so
+  the result is again the exact accumulation in any summation order.
+  ``_finish`` widens to float64 before the shared rescale, so the
+  output bytes do not depend on the tier.  ``reference`` stays on
+  float64, keeping lowered-vs-reference parity a comparison of two
+  different arithmetics.
 
 Occupancy-gated dynamic sparsity (``execution="lowered-sparse"``; see
 ``docs/PERFORMANCE.md``): under an active
@@ -96,6 +105,14 @@ __all__ = ["QuantizedConv2d", "QuantizedConvTranspose2d", "QuantizedLinear",
 #: (kept equal to ``2 ** repro.runtime.telemetry.ACC_EXACT_BITS``; not
 #: imported to keep :mod:`repro.nn` free of runtime dependencies).
 _EXACT_ACC_LIMIT = 2 ** 53
+
+#: Accumulator magnitude below which float32 integer arithmetic is exact
+#: (every integer of magnitude at most 2^24 is a float32).
+_EXACT_ACC_LIMIT_F32 = 2 ** 24
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_F32 = np.dtype(np.float32)
 
 #: Per-executor cap on memoized input-shape (and windowed) plans.
 _MAX_SHAPE_PLANS = 16
@@ -245,8 +262,37 @@ def _batched_gemm(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.matmul(w, cols)
 
 
+def _certify(bound: int, w_int: np.ndarray) -> tuple[bool, bool, dict]:
+    """An executor's ``(_use_gemm, _use_f32, _w_packed)``.
+
+    ``bound`` caps ``|acc|`` and every partial sum.  Below 2^53 the
+    float64 gemm is exact (``_use_gemm``); below 2^24 so is a float32
+    gemm (``_use_f32``).  ``_w_packed`` holds the compacted weights in
+    each dtype an accumulation may run in.
+    """
+    use_f32 = bound < _EXACT_ACC_LIMIT_F32
+    packed = {_I64: w_int, _F64: w_int.astype(np.float64)}
+    if use_f32:
+        packed[_F32] = w_int.astype(np.float32)
+    return bound < _EXACT_ACC_LIMIT, use_f32, packed
+
+
+def _accumulation_dtype(executor, dtype) -> np.dtype:
+    """The dtype one ``_accumulate`` call works and accumulates in.
+
+    ``dtype=float64`` (``reference``) always stays on float64.
+    ``dtype=int64`` (``forward``) takes the narrowest certified tier:
+    float32, then the float64 gemm, then exact int64.
+    """
+    if np.dtype(dtype) != _I64:
+        return _F64
+    if executor._use_f32:
+        return _F32
+    return _F64 if executor._use_gemm else _I64
+
+
 def _matmul_skip_zero_columns(w: np.ndarray, cols: np.ndarray,
-                              int_work: bool, use_gemm: bool,
+                              acc_dtype: np.dtype, use_gemm: bool,
                               active: np.ndarray | None
                               ) -> tuple[np.ndarray, int]:
     """``(o, k) @ (n, k, p)`` eliminating verified all-zero columns.
@@ -258,9 +304,9 @@ def _matmul_skip_zero_columns(w: np.ndarray, cols: np.ndarray,
     matmul.  When enough columns are inactive the matmul runs on the
     active subset and the rest is reconstructed as exact zeros —
     bit-for-bit what the dense product yields for them, since zero
-    codes accumulate to exact zeros in int64 and certified float64
-    alike (the ``-0.0`` a float product can leave is canonicalized by
-    ``_finish``).  Each surviving column's dot product reduces over
+    codes accumulate to exact zeros in int64 and in every certified
+    float dtype (the ``-0.0`` a float product can leave is
+    canonicalized by ``_finish``).  Each surviving column's dot product reduces over
     the untouched ``k`` axis in the same order as the dense call, so
     the active subset is byte-identical too.
     """
@@ -277,8 +323,7 @@ def _matmul_skip_zero_columns(w: np.ndarray, cols: np.ndarray,
     executed = int(active.sum())
     if total - executed < max(1, int(total * _MIN_COLUMN_SKIP)):
         return dense(), total
-    acc = np.zeros((n, w.shape[0], p),
-                   dtype=np.int64 if int_work else np.float64)
+    acc = np.zeros((n, w.shape[0], p), dtype=acc_dtype)
     if executed:
         sel = cols.swapaxes(0, 1)[:, active]
         if use_gemm:
@@ -297,20 +342,23 @@ def activation_scale(x: np.ndarray, bits: int = 8) -> float:
 
 
 def quantize_activation(x: np.ndarray, scale: float,
-                        bits: int = 8, telemetry=None) -> np.ndarray:
+                        bits: int = 8, telemetry=None,
+                        dtype=np.int64) -> np.ndarray:
     """Activation → integer codes at a fixed scale.
 
     ``telemetry`` (a :class:`repro.runtime.telemetry.LayerTelemetry`)
     optionally counts how many values saturate — round outside
     ``[-max_code, max_code]`` and get clipped, i.e. fall outside the
     calibrated range.  Counting never changes the returned codes.
+    ``dtype`` is the array type of the codes; any float type holds the
+    ≤16-bit codes exactly.
     """
     max_code = 2 ** (bits - 1) - 1
     rounded = np.round(x / scale)
     if telemetry is not None:
         telemetry.record_quantization(
             rounded.size, int((np.abs(rounded) > max_code).sum()))
-    return np.clip(rounded, -max_code, max_code).astype(np.int64)
+    return np.clip(rounded, -max_code, max_code).astype(dtype, copy=False)
 
 
 def _per_channel_codes(flat: np.ndarray, bits: int):
@@ -365,14 +413,12 @@ class QuantizedConv2d(Module):
         out_c = self.weight_codes.shape[0]
         w_mat = self.weight_codes.reshape(out_c, -1)
         self._w_kept = np.ascontiguousarray(w_mat[:, self._keep_cols])
-        self._w_kept_f64 = self._w_kept.astype(np.float64)
         self._kept = int(self._keep_cols.sum())
         max_w = int(np.abs(self._w_kept).max()) if self._w_kept.size else 0
         act_max = 2 ** (self.activation_bits - 1) - 1
-        # |acc| <= kept · max|w| · max|x|: when below 2^53 every partial
-        # sum is an exactly-representable float64 integer, certifying
-        # the shared BLAS gemm path.
-        self._use_gemm = self._kept * max_w * act_max < _EXACT_ACC_LIMIT
+        # |acc| <= kept · max|w| · max|x| bounds every partial sum.
+        self._use_gemm, self._use_f32, self._w_packed = _certify(
+            self._kept * max_w * act_max, self._w_kept)
         self._plans: dict = {}
         # Guards every get/evict/insert on _plans: the forward path may
         # be driven by concurrent serving streams.  (Re)compaction
@@ -466,8 +512,9 @@ class QuantizedConv2d(Module):
         ``dtype=int64`` is the deployment path; ``dtype=float64`` is the
         reference semantics.  Both see the same codes and the same
         skipped columns, and both accumulations are exact, so they
-        return equal values — and when the compaction-time bound
-        certified exactness, both share the float64 gemm outright.  The
+        return equal values — the deployment path in the narrowest
+        certified dtype (:func:`_accumulation_dtype`), the reference in
+        float64 (a shared gemm when the bound certifies it).  The
         whole micro-batch (leading ``n``) runs as one matmul, which is
         byte-identical to ``n`` single-frame calls because exact sums
         are blocking-independent.
@@ -488,8 +535,7 @@ class QuantizedConv2d(Module):
         telemetry = self.telemetry
         idx, geometry = self._shape_plan(c, h, w)
         use_gemm = self._use_gemm
-        int_work = not use_gemm and np.dtype(dtype) == np.int64
-        acc_dtype = np.int64 if int_work else np.float64
+        acc_dtype = _accumulation_dtype(self, dtype)
         context = current_occupancy()
         dynamic = context is not None and (
             telemetry is not None
@@ -508,7 +554,8 @@ class QuantizedConv2d(Module):
         else:
             x_codes = quantize_activation(data, self.input_scale,
                                           self.activation_bits,
-                                          telemetry=telemetry)
+                                          telemetry=telemetry,
+                                          dtype=acc_dtype)
             occ = x_codes.any(axis=1) if dynamic else None
         window = None if occ is None \
             else self._dynamic_window(occ, h, w, geometry)
@@ -538,7 +585,7 @@ class QuantizedConv2d(Module):
                 if inactive >= max(1, int(plan.positions
                                           * _MIN_COLUMN_SKIP)):
                     act_idx = np.flatnonzero(union)
-            w_mat = self._w_kept if int_work else self._w_kept_f64
+            w_mat = self._w_packed[acc_dtype]
             if act_idx is not None:
                 # Restrict the gather itself: subset the cached index
                 # matrix to the active columns, gather only those, and
@@ -553,16 +600,16 @@ class QuantizedConv2d(Module):
                     # smaller than the input (k>1 gathers duplicate
                     # cells k² times); otherwise quantize eagerly.
                     x_codes = quantize_activation(
-                        data, self.input_scale, self.activation_bits)
+                        data, self.input_scale, self.activation_bits,
+                        dtype=acc_dtype)
                 source = data if x_codes is None else x_codes
                 cols = plan.pad(source).reshape(n, -1) \
                     .take(sub.ravel(), axis=1) \
                     .reshape(n, self._kept, act_idx.size)
                 if x_codes is None:
                     cols = quantize_activation(cols, self.input_scale,
-                                               self.activation_bits)
-                if not int_work:
-                    cols = cols.astype(np.float64)
+                                               self.activation_bits,
+                                               dtype=acc_dtype)
                 if use_gemm:
                     res = _batched_gemm(w_mat, cols)
                 else:
@@ -574,9 +621,9 @@ class QuantizedConv2d(Module):
             else:
                 if x_codes is None:
                     x_codes = quantize_activation(
-                        data, self.input_scale, self.activation_bits)
-                work = x_codes if int_work else x_codes.astype(np.float64)
-                cols = plan.pad(work).reshape(n, -1).take(idx, axis=1) \
+                        data, self.input_scale, self.activation_bits,
+                        dtype=acc_dtype)
+                cols = plan.pad(x_codes).reshape(n, -1).take(idx, axis=1) \
                     .reshape(n, self._kept, plan.positions)
                 if use_gemm:
                     acc = _batched_gemm(w_mat, cols)
@@ -628,8 +675,8 @@ class QuantizedConv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         data = _as_array(x)
-        # The integer core: exact accumulation of the int64 codes (via
-        # the certified gemm when the bound holds), exactly as a
+        # The integer core: exact accumulation of the codes (via the
+        # narrowest certified gemm when the bound holds), exactly as a
         # deployment engine's INT8 MACs with a 32/64-bit accumulator.
         return self._finish(self._accumulate(data, np.int64), data.shape)
 
@@ -696,14 +743,14 @@ class QuantizedConvTranspose2d(Module):
         # (kept, in_c): rows are the kept scatter columns, ready for the
         # (kept, in_c) @ (n, in_c, h·w) gemm.
         self._w_keptT = np.ascontiguousarray(w_mat[:, self._keep_cols].T)
-        self._w_keptT_f64 = self._w_keptT.astype(np.float64)
         self._kept = int(self._keep_cols.sum())
         max_w = int(np.abs(self._w_keptT).max()) if self._w_keptT.size else 0
         act_max = 2 ** (self.activation_bits - 1) - 1
         # Each scatter-added output cell sums at most k·k contributors,
-        # each an in_c-length dot: |acc| <= k²·in_c·max|w|·max|x|.
-        self._use_gemm = (kernel * kernel * in_c * max_w * act_max
-                          < _EXACT_ACC_LIMIT)
+        # each an in_c-length dot: |acc| <= k²·in_c·max|w|·max|x|, which
+        # also covers the col2im sums when they run in the gemm's dtype.
+        self._use_gemm, self._use_f32, self._w_packed = _certify(
+            kernel * kernel * in_c * max_w * act_max, self._w_keptT)
         self._plans: dict = {}
         # Same discipline as QuantizedConv2d: the memo must be safe
         # under concurrent forward callers.
@@ -780,12 +827,12 @@ class QuantizedConvTranspose2d(Module):
         in_c = self.weight_codes.shape[0]
         kernel = self.weight_codes.shape[-1]
         telemetry = self.telemetry
+        use_gemm = self._use_gemm
+        acc_dtype = _accumulation_dtype(self, dtype)
         x_codes = quantize_activation(data, self.input_scale,
                                       self.activation_bits,
-                                      telemetry=telemetry)
-        use_gemm = self._use_gemm
-        int_work = not use_gemm and np.dtype(dtype) == np.int64
-        acc_dtype = np.int64 if int_work else np.float64
+                                      telemetry=telemetry, dtype=acc_dtype)
+        w_mat = self._w_packed[acc_dtype]
         context = current_occupancy()
         dynamic = context is not None and (
             telemetry is not None
@@ -804,12 +851,9 @@ class QuantizedConvTranspose2d(Module):
             r0, r1, c0, c1 = window
             x_win = x_codes[:, :, r0:r1, c0:c1] \
                 .reshape(n, in_c, (r1 - r0) * (c1 - c0))
-            if not int_work:
-                x_win = x_win.astype(np.float64)
             active = occ[:, r0:r1, c0:c1].reshape(n, -1)
-            w_mat = self._w_keptT if int_work else self._w_keptT_f64
             cols_win, executed = _matmul_skip_zero_columns(
-                w_mat, x_win, int_work, use_gemm, active)
+                w_mat, x_win, acc_dtype, use_gemm, active)
             cols = np.zeros((n, self._kept, h * w), dtype=cols_win.dtype)
             cols.reshape(n, self._kept, h, w)[:, :, r0:r1, c0:c1] = \
                 cols_win.reshape(n, self._kept, r1 - r0, c1 - c0)
@@ -834,12 +878,9 @@ class QuantizedConvTranspose2d(Module):
                 acc[:, :, ob[0]:ob[1], ob[2]:ob[3]] = acc_win
         else:
             x_mat = x_codes.reshape(n, in_c, h * w)
-            if not int_work:
-                x_mat = x_mat.astype(np.float64)
             active = None if occ is None else occ.reshape(n, h * w)
-            w_mat = self._w_keptT if int_work else self._w_keptT_f64
             cols, executed = _matmul_skip_zero_columns(
-                w_mat, x_mat, int_work, use_gemm, active)
+                w_mat, x_mat, acc_dtype, use_gemm, active)
             acc = self._shape_plan(h, w).apply(cols)
         if telemetry is not None:
             keep = self._keep_cols
@@ -921,12 +962,12 @@ class QuantizedLinear(Module):
         """(Re)build the packed execution structures from ``_keep_cols``."""
         self._w_kept = np.ascontiguousarray(
             self.weight_codes[:, self._keep_cols])
-        self._w_kept_f64 = self._w_kept.astype(np.float64)
         self._keep_idx = np.flatnonzero(self._keep_cols)
         self._kept = int(self._keep_idx.size)
         max_w = int(np.abs(self._w_kept).max()) if self._w_kept.size else 0
         act_max = 2 ** (self.activation_bits - 1) - 1
-        self._use_gemm = self._kept * max_w * act_max < _EXACT_ACC_LIMIT
+        self._use_gemm, self._use_f32, self._w_packed = _certify(
+            self._kept * max_w * act_max, self._w_kept)
 
     @staticmethod
     def from_float(linear: Linear, input_scale: float,
@@ -943,16 +984,17 @@ class QuantizedLinear(Module):
         in_features = self.weight_codes.shape[1]
         out_features = self.weight_codes.shape[0]
         telemetry = self.telemetry
+        acc_dtype = _accumulation_dtype(self, dtype)
         x_codes = quantize_activation(data, self.input_scale,
                                       self.activation_bits,
-                                      telemetry=telemetry)
+                                      telemetry=telemetry, dtype=acc_dtype)
         # A leading batch dimension (ndim > 2) folds into the row axis:
         # one gemm covers the whole micro-batch.
         frames = data.shape[0] if data.ndim > 2 else 1
         x_mat = x_codes.reshape(-1, in_features)
         if self._kept != in_features:
             x_mat = x_mat.take(self._keep_idx, axis=1)
-        use_f64 = self._use_gemm or np.dtype(dtype) != np.int64
+        weights = self._w_packed[acc_dtype]
         # Under an active occupancy context (sparse lowered execution)
         # skip all-zero input rows at runtime: a zero row's accumulator
         # is exactly zero in either dtype, so reconstructing it costs
@@ -969,20 +1011,12 @@ class QuantizedLinear(Module):
                 row_active = None
         if row_active is not None:
             active = int(row_active.sum())
-            weights = self._w_kept_f64 if use_f64 else self._w_kept
-            x_act = x_mat[row_active]
-            if use_f64:
-                x_act = x_act.astype(np.float64)
-            acc = np.zeros((x_mat.shape[0], out_features),
-                           dtype=np.float64 if use_f64 else np.int64)
+            acc = np.zeros((x_mat.shape[0], out_features), dtype=acc_dtype)
             if active:
-                acc[row_active] = x_act @ weights.T
+                acc[row_active] = x_mat[row_active] @ weights.T
         else:
             active = x_mat.shape[0]
-            if use_f64:
-                acc = x_mat.astype(np.float64) @ self._w_kept_f64.T
-            else:
-                acc = x_mat @ self._w_kept.T
+            acc = x_mat @ weights.T
         if telemetry is not None:
             keep = self._keep_cols
             telemetry.record_matmul(

@@ -374,6 +374,11 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
+        if not (is_grad_enabled() and a.requires_grad):
+            # Inference: no graph edge, so skip the backward tie mask.
+            if axis is None:
+                return Tensor(np.asarray(a.data.max()))
+            return Tensor(a.data.max(axis=axis, keepdims=keepdims))
         out_data = a.data.max(axis=axis, keepdims=True)
         mask = (a.data == out_data).astype(np.float32)
         mask /= mask.sum(axis=axis, keepdims=True)

@@ -89,17 +89,19 @@ class PillarEncoder:
         features = np.zeros((n_pillars, max_pts, self.FEATURE_DIM),
                             dtype=np.float32)
         mask = np.zeros((n_pillars, max_pts), dtype=np.float32)
-        fill = np.zeros(n_pillars, dtype=np.int64)
 
+        # Each pillar keeps its first ``max_pts`` points in input order:
+        # a stable sort groups points by pillar without reordering them,
+        # and a point's slot is its rank within its pillar's run.
         order = np.argsort(inverse, kind="stable")
-        for point_idx in order:
-            pillar = inverse[point_idx]
-            slot = fill[pillar]
-            if slot >= max_pts:
-                continue
-            features[pillar, slot, :4] = pts[point_idx]
-            mask[pillar, slot] = 1.0
-            fill[pillar] += 1
+        pillar = inverse[order]
+        run_lengths = np.bincount(inverse, minlength=n_pillars)
+        starts = np.cumsum(run_lengths) - run_lengths
+        slot = np.arange(len(order)) - starts[pillar]
+        kept = slot < max_pts
+        pillar, slot = pillar[kept], slot[kept]
+        features[pillar, slot, :4] = pts[order[kept]]
+        mask[pillar, slot] = 1.0
 
         indices = np.stack([unique_cells // nx, unique_cells % nx], axis=1)
 
@@ -192,8 +194,11 @@ class VoxelEncoder:
             unique_cells, inverse = np.unique(flat, return_inverse=True)
 
         n_voxels = len(unique_cells)
-        sums = np.zeros((n_voxels, 4), dtype=np.float64)
-        np.add.at(sums, inverse, pts[:, :4])
+        # bincount adds each column's weights in input order in float64,
+        # the same sums an unbuffered scatter-add produces.
+        sums = np.stack([np.bincount(inverse, weights=pts[:, j],
+                                     minlength=n_voxels)
+                         for j in range(4)], axis=1)
         counts = np.bincount(inverse, minlength=n_voxels)[:, None]
         features = (sums / np.maximum(counts, 1)).astype(np.float32)
 

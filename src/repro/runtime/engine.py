@@ -657,10 +657,6 @@ class InferenceEngine:
                                  base_energy - kernel_energy)
         return level.layer_costs
 
-    def _cost_model(self) -> tuple:
-        """Cached cost split of the *active* plan (see _level_costs)."""
-        return self._level_costs(self._level)
-
     def _trace_events(self, session: _StreamSession, frame_id: int,
                       latency_s: float, energy_j: float,
                       jitter_s: float) -> list[TraceEvent]:
@@ -781,20 +777,6 @@ class InferenceEngine:
         self._active = index
         self.model = self._level.rung.model
 
-    def _demote(self) -> bool:
-        """Swap one rung down; False when already at the bottom."""
-        if self._active + 1 >= len(self._levels):
-            return False
-        self._switch(self._active + 1)
-        return True
-
-    def _promote(self) -> bool:
-        """Swap one rung up; False when already on the primary."""
-        if self._active == 0:
-            return False
-        self._switch(self._active - 1)
-        return True
-
     def _held_result(self, frame_id: int,
                      last_good: DetectionResult | None) -> DetectionResult:
         if last_good is None:
@@ -911,17 +893,6 @@ class InferenceEngine:
             deadline_met=False, status="failed",
             fallback=session.active > 0,
             rung=self._session_rung(session)))
-
-    def _session_window_cost(self, session: _StreamSession) -> float:
-        """Estimated device latency of one window on the session's rung.
-
-        The plan's base latency (no cost hook, no jitter — both are
-        per-frame perturbations unknown before emission): the signal
-        the serving scheduler compares against a queued frame's
-        deadline slack to decide when holding a partial window for
-        more co-batching members stops being safe.
-        """
-        return self._level_costs(self._levels[session.active])[1]
 
     def _emit_result(self, session: _StreamSession, frame_id: int,
                      result: DetectionResult, faults) -> bool:

@@ -136,6 +136,23 @@ class TestReductions:
                    requires_grad=True)
         assert x.max().item() == 9.0
 
+    @pytest.mark.parametrize("axis", [None, 0, 2, -1, (0, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_inference_matches_recorded(self, axis, keepdims):
+        """The no-graph max returns what the recording max returns."""
+        data = np.random.default_rng(1).integers(
+            -3, 4, (2, 3, 4)).astype(np.float32)      # ties included
+        recorded = Tensor(data, requires_grad=True).max(axis, keepdims)
+        with no_grad():
+            inference = Tensor(data, requires_grad=True).max(axis, keepdims)
+        plain = Tensor(data).max(axis, keepdims)
+        assert recorded.requires_grad
+        for out in (inference, plain):
+            assert not out.requires_grad
+            assert out.data.shape == recorded.data.shape
+            assert out.data.dtype == recorded.data.dtype
+            assert out.data.tobytes() == recorded.data.tobytes()
+
     def test_var(self):
         x = np.random.default_rng(0).standard_normal((4, 5)).astype(np.float32)
         t = Tensor(x)
